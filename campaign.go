@@ -67,9 +67,8 @@ func CellScenario(c SweepCell) Scenario {
 
 // cellGraphSpec projects a sweep cell's graph parameters into the
 // GraphSpec its Scenario declares. It is also the graph half of the
-// batched tier's grouping key: cells with equal specs resolve, through
-// the prepared-scenario cache, to the same built *Graph, which is what
-// lets their lanes share one BatchRunner.
+// sweep's work-unit key (workKey): cells with equal specs resolve,
+// through the prepared-scenario cache, to the same built *Graph.
 func cellGraphSpec(c SweepCell) GraphSpec {
 	return GraphSpec{
 		Kind: c.Graph.Kind, N: c.Graph.N,

@@ -101,7 +101,9 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	// A client that never finishes its request headers must not hold a
+	// connection open forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("listening",

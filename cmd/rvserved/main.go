@@ -137,7 +137,7 @@ func main() {
 		return
 	}
 
-	// One registry spans the whole process: the engine's cache/batch
+	// One registry spans the whole process: the engine's cache/cell
 	// series and the service's request/checkpoint series scrape from the
 	// same /metrics page.
 	reg := meetpoly.NewMetrics()
@@ -159,7 +159,9 @@ func main() {
 		Pprof:           *pprofOn,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	// A client that never finishes its request headers must not hold a
+	// connection open forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("listening",

@@ -39,7 +39,6 @@ type Engine struct {
 	autoExtend    bool
 	forceBlocking bool
 	usePrepCache  bool
-	batchTier     bool
 
 	// mu guards catalog coverage checks and extensions; sequence reads
 	// are internally synchronized by the catalog itself.
@@ -73,8 +72,7 @@ type Engine struct {
 	// WithTelemetry: the nil check is the whole disabled cost, and the
 	// telemetry differential test pins reports byte-identical either
 	// way). cellTrace, when set, receives serialized begin/end span
-	// events per sweep cell (WithCellTrace) and — like an observer —
-	// disables the batched tier.
+	// events per sweep cell (WithCellTrace).
 	tele      *engineMetrics
 	cellTrace func(CellTraceEvent)
 }
@@ -209,7 +207,6 @@ type engineConfig struct {
 	autoExtend     bool
 	directDispatch bool
 	preparedCache  bool
-	batched        bool
 	metrics        *Metrics
 	cellTrace      func(CellTraceEvent)
 }
@@ -265,26 +262,12 @@ func WithDirectDispatch(on bool) Option { return func(c *engineConfig) { c.direc
 // unbounded streams of distinct specs where the cache could only grow.
 func WithPreparedCache(on bool) Option { return func(c *engineConfig) { c.preparedCache = on } }
 
-// WithBatchedExecution controls the sweep's batched execution tier (on
-// by default). On, sweep workers group batchable cells that share a
-// prepared graph — contiguous under the campaign walk order — into
-// lanes of one lockstep BatchRunner, paying the per-cell dispatch
-// overhead (runner construction, per-agent state, pooled scratch churn)
-// once per batch instead of once per cell. The tier engages only when
-// its preconditions hold (prepared cache on, direct dispatch on, no
-// observer attached) and only for kinds that declare the two-walker
-// lane shape; everything else runs on the per-cell tiers unchanged.
-// Batched and per-cell execution are observationally identical — the
-// batch differential test enforces byte-identical sweep reports —
-// and turning the tier off exists for exactly that comparison.
-func WithBatchedExecution(on bool) Option { return func(c *engineConfig) { c.batched = on } }
-
 // NewEngine builds an engine. With no options it verifies a compact
 // exploration catalog on the standard graph families up to 6 nodes,
 // exactly like NewEnv(6, 1).
 func NewEngine(opts ...Option) *Engine {
 	cfg := engineConfig{maxN: 6, seed: 1, parallelism: runtime.GOMAXPROCS(0), autoExtend: true,
-		directDispatch: true, preparedCache: true, batched: true}
+		directDispatch: true, preparedCache: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -300,7 +283,6 @@ func NewEngine(opts ...Option) *Engine {
 		autoExtend:    cfg.autoExtend,
 		forceBlocking: !cfg.directDispatch,
 		usePrepCache:  cfg.preparedCache,
-		batchTier:     cfg.batched,
 	}
 	if cfg.obs != nil {
 		e.obs = &lockedObserver{inner: cfg.obs}
@@ -320,12 +302,6 @@ func NewEngine(opts ...Option) *Engine {
 		}
 	}
 	return e
-}
-
-// engineOver wraps an existing environment for the deprecated free
-// functions, preserving their auto-extending single-call behaviour.
-func engineOver(env *Env) *Engine {
-	return &Engine{env: env, parallelism: 1, autoExtend: true}
 }
 
 // Env returns the engine's trajectory environment, for interoperating
@@ -697,9 +673,9 @@ func (e *Engine) SweepStreamWithOracles(ctx context.Context, spec SweepSpec, ora
 //     order-independent aggregator reproduces Engine.Sweep's report
 //     byte-identically.
 //
-// The batched execution tier applies within a range exactly as in a
-// full sweep: grouping happens over the walked cells, which stay
-// contiguous per (kind, graph) inside any range.
+// Work-unit grouping applies within a range exactly as in a full sweep:
+// it happens over the walked cells, which stay contiguous per (kind,
+// graph) inside any range.
 func (e *Engine) SweepStreamRange(ctx context.Context, spec SweepSpec, lo, hi int) iter.Seq2[SweepCellResult, error] {
 	return e.sweepSeq(ctx, spec, lo, hi, e.defaultOracles)
 }
@@ -756,14 +732,58 @@ func (e *Engine) sweepPrepass(spec SweepSpec) {
 	}
 }
 
+// sweepBatchSize caps how many cells one work unit accumulates before
+// the producer flushes it to a worker, bounding the latency until the
+// first results stream out. sweepSeq lowers the cap further for a
+// range too short to fill every worker (see unitCap).
+const sweepBatchSize = 256
+
+// unitCap is the work-unit cap for a range of n cells run by workers
+// workers. A unit runs on one worker, so with several workers the cap
+// leaves at least two units per worker: a coordinator lease or a small
+// campaign whose cells all share one key still spreads across the
+// pool. A lone worker gains nothing from smaller units.
+func unitCap(n, workers int) int {
+	if workers <= 1 {
+		return sweepBatchSize
+	}
+	return min(sweepBatchSize, max(1, n/(2*workers)))
+}
+
+// sweepWork is one unit handed to a sweep worker: consecutive walked
+// cells sharing one workKey, at most unitCap of them (a lone cell is a
+// unit of one). The worker runs each cell through runCell and
+// sends the unit's results once the whole unit is done.
+//
+// Both choices are kept because they measured faster, not for a known
+// reason. On a 2-vCPU linux/amd64 box (go1.24), sending cells one at a
+// time cut the service-short campaign benchmark from 26.3k to 20.7k
+// cells/s (4 of 4 pairs), and fixed 16-cell chunks were no better
+// (21.0k against 24.8k for same-key units). Sending each result as soon
+// as its cell finished lost all 5 service-short pairs against the
+// lockstep tier this design replaced (-12.8% in the median); sending
+// per unit won 4 of 5. Lock wait stayed under 1% either way, yet the
+// pure-CPU seeding in sched.NewRandom ran about 20% slower without
+// grouping; the cause is not established.
+type sweepWork []SweepCell
+
+// workKey groups contiguous sweep cells into one work unit: same kind
+// and same declared graph (hence, through the prepared-scenario cache,
+// the same *Graph).
+type workKey struct {
+	kind  string
+	graph GraphSpec
+}
+
 // sweepSeq is the streaming sweep pipeline behind Sweep, SweepStream,
 // SweepStreamRange and their WithOracles variants: cells of [lo, hi)
-// are expanded one at a time into a bounded channel, each worker
-// prepares (through the prepared-scenario cache), executes and
-// oracle-judges its cell inline, and the judged results are yielded to
-// the consumer as they complete — a million-cell campaign runs in
-// memory proportional to the worker pool, not the cell count. mkOracles
-// runs after the graph pre-pass, so suites derived from the engine's
+// are expanded one at a time and grouped into same-graph work units
+// (sweepWork) on a bounded channel, each worker prepares (through the
+// prepared-scenario cache), executes and oracle-judges the cells of its
+// unit inline, and the judged results are yielded to the consumer as
+// each unit completes — a million-cell campaign runs in memory
+// proportional to the worker pool, not the cell count. mkOracles runs
+// after the graph pre-pass, so suites derived from the engine's
 // catalog (the default) bind to the catalog state every cell executes
 // under — and the pre-pass deliberately covers the WHOLE spec even for
 // a partial range, so shards and resumed slices all judge against the
@@ -803,6 +823,7 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 		// results nobody will read.
 		stop := make(chan struct{})
 		defer close(stop)
+		maxUnit := unitCap(hi-lo, workers)
 		workCh := make(chan sweepWork, 2*workers)
 		resCh := make(chan SweepCellResult, 2*workers)
 		var wg sync.WaitGroup
@@ -810,42 +831,44 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
+				var out []SweepCellResult
 				for work := range workCh {
-					if work.batch != nil {
-						for _, cr := range e.runCellBatch(runCtx, work.batch, oracles) {
-							select {
-							case resCh <- cr:
-							case <-stop:
-								return
-							}
+					// The unit runs to the end before its results are
+					// sent (see sweepWork).
+					out = out[:0]
+					for _, c := range work {
+						select {
+						case <-stop:
+							return
+						default:
 						}
-						continue
+						out = append(out, e.runCell(runCtx, c, oracles))
 					}
-					cr := e.runCell(runCtx, work.cell, oracles)
-					select {
-					case resCh <- cr:
-					case <-stop:
-						return
+					for _, cr := range out {
+						select {
+						case resCh <- cr:
+						case <-stop:
+							return
+						}
 					}
 				}
 			}()
 		}
 		go func() {
 			defer close(workCh)
-			// Batched-tier grouping: batchable cells sharing one (kind,
-			// graph) key arrive contiguously under the campaign walk's
-			// axis order, so a single pending batch plus a flush on key
-			// change groups them without any map state.
-			batching := e.batchEligible()
+			// Cells sharing one (kind, graph) key arrive contiguously
+			// under the campaign walk's axis order, so a single pending
+			// unit plus a flush on key change groups them without any
+			// map state.
 			var (
 				pending []SweepCell
-				pendKey batchKey
+				pendKey workKey
 			)
 			flush := func() bool {
 				if len(pending) == 0 {
 					return true
 				}
-				w := sweepWork{batch: pending}
+				w := pending
 				pending = nil
 				select {
 				case workCh <- w:
@@ -857,26 +880,15 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 			// The walk only fails on validation errors, which CountSweep
 			// and the range check ruled out above.
 			WalkSweepRange(spec, lo, hi, func(c SweepCell) bool { //nolint:errcheck // validated above
-				if batching && batchableKind(ScenarioKind(c.Kind)) {
-					key := batchKey{kind: c.Kind, graph: cellGraphSpec(c)}
-					if len(pending) > 0 && (key != pendKey || len(pending) >= sweepBatchSize) {
-						if !flush() {
-							return false
-						}
+				key := workKey{kind: c.Kind, graph: cellGraphSpec(c)}
+				if len(pending) > 0 && (key != pendKey || len(pending) >= maxUnit) {
+					if !flush() {
+						return false
 					}
-					pendKey = key
-					pending = append(pending, c)
-					return true
 				}
-				if !flush() {
-					return false
-				}
-				select {
-				case workCh <- sweepWork{cell: c}:
-					return true
-				case <-stop:
-					return false
-				}
+				pendKey = key
+				pending = append(pending, c)
+				return true
 			})
 			flush()
 		}()

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"testing"
 
 	"meetpoly/internal/graph"
@@ -31,6 +30,9 @@ func scrubbedRunScratch(t *testing.T, s *runScratch) {
 		if st.agent != nil || st.stepper != nil || st.proc != nil {
 			t.Errorf("pooled scratch states[%d] retains agent references: %+v", i, st)
 		}
+		if st.ownProc != (Proc{}) {
+			t.Errorf("pooled scratch states[%d] retains its pooled Proc: %+v", i, st.ownProc)
+		}
 	}
 	for i, p := range s.ptrs[:cap(s.ptrs)] {
 		if p != nil {
@@ -59,9 +61,49 @@ func TestCloseScrubsScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := r.scratch
+	for i, st := range r.agents {
+		if st.proc != &st.ownProc {
+			t.Fatalf("agent %d of a stepper-only team runs on a heap Proc, want the pooled one", i)
+		}
+	}
 	r.Run()
 	r.Close()
 	scrubbedRunScratch(t, s)
+}
+
+// stepperRunAllocs is what one two-Walker stepper run costs, NewRunner
+// through Close, once the scratch pool is warm: the Runner itself plus
+// the Summary's Meetings and Traversals slices. Procs and the
+// initial-wake list come from the pooled scratch.
+const stepperRunAllocs = 3
+
+// TestStepperRunAllocs pins the per-run allocation count of the
+// stepper core, the cost every rendezvous and baseline sweep cell pays
+// on top of its own agents and adversary.
+func TestStepperRunAllocs(t *testing.T) {
+	g := graph.Ring(6)
+	agents := []Agent{&Walker{Stepper: endless{}}, &Walker{Stepper: endless{}}}
+	starts, awake := []int{0, 3}, []int{0, 1}
+	adv := &RoundRobin{}
+	got := testing.AllocsPerRun(100, func() {
+		r, err := NewRunner(Config{
+			Graph:          g,
+			Starts:         starts,
+			Agents:         agents,
+			InitiallyAwake: awake,
+			MaxSteps:       4,
+		}, adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := r.Run(); sum.Steps != 4 {
+			t.Fatalf("executed %d of 4 events", sum.Steps)
+		}
+		r.Close()
+	})
+	if got != stepperRunAllocs {
+		t.Errorf("a two-Walker stepper run allocates %v times, want %d", got, stepperRunAllocs)
+	}
 }
 
 // TestRunnerPanicPathReturnsScratch is the satellite panic-path test:
@@ -146,55 +188,6 @@ func TestNewRunnerErrorPathsPrecedeScratch(t *testing.T) {
 		if err == nil {
 			r.Close()
 			t.Errorf("%s: NewRunner accepted an invalid config", name)
-		}
-	}
-}
-
-// TestBatchCloseScrubsScratch is the batch analogue: after Close, the
-// pooled batchScratch holds no agent, adversary, view or meeting
-// references anywhere in its capacity.
-func TestBatchCloseScrubsScratch(t *testing.T) {
-	b, err := NewBatchRunner(context.Background(), graph.Ring(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < 4; l++ {
-		if _, err := b.AddLane(LaneConfig{
-			Starts:             [2]int{0, 3},
-			Agents:             [2]Stepper{&Walker{Stepper: script(0, 0, 0), StopAtMeeting: true}, &Walker{Stepper: script(0, 0, 0), StopAtMeeting: true}},
-			Adversary:          &RoundRobin{},
-			MaxSteps:           100,
-			StopAtFirstMeeting: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := b.scratch
-	b.Run()
-	b.Close()
-	for i, st := range s.states[:cap(s.states)] {
-		if st.agent != nil || st.stepper != nil {
-			t.Errorf("pooled batch scratch states[%d] retains agent references", i)
-		}
-	}
-	for i, p := range s.ptrs[:cap(s.ptrs)] {
-		if p != nil {
-			t.Errorf("pooled batch scratch ptrs[%d] retains a pointer", i)
-		}
-	}
-	for i, v := range s.views[:cap(s.views)] {
-		if v.agents != nil || v.dormant != nil || v.g != nil {
-			t.Errorf("pooled batch scratch views[%d] retains view state", i)
-		}
-	}
-	for i, a := range s.advs[:cap(s.advs)] {
-		if a != nil {
-			t.Errorf("pooled batch scratch advs[%d] retains an adversary", i)
-		}
-	}
-	for i, m := range s.meetings[:cap(s.meetings)] {
-		if m != nil {
-			t.Errorf("pooled batch scratch meetings[%d] retains meeting slices", i)
 		}
 	}
 }

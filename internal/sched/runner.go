@@ -166,6 +166,9 @@ type agentState struct {
 	agent   Agent
 	stepper Stepper // non-nil selects the direct-dispatch fast path
 	proc    *Proc
+	// ownProc backs proc for stepper-only teams, so their Procs live in
+	// the pooled scratch instead of on the heap.
+	ownProc Proc
 	id      int
 	status  Status
 	pos     Position
@@ -294,6 +297,7 @@ type runScratch struct {
 	edgeGroup   []int32
 	edgeTouched []int32
 	groups      []meetGroup
+	wake        []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -403,16 +407,23 @@ func NewRunner(cfg Config, adv Adversary) (*Runner, error) {
 		r.done = make(chan struct{})
 	}
 	for _, st := range r.agents {
-		// Procs are heap-allocated per run (not pooled): agent programs
-		// hold them across goroutine suspension points, so a pooled Proc
-		// could alias a later run's.
+		if !blocking {
+			// A stepper never holds its Proc past a Step call, so the
+			// pooled one is safe to reuse run after run.
+			st.ownProc = Proc{r: r, id: st.id}
+			st.proc = &st.ownProc
+			continue
+		}
+		// On the goroutine core Procs are heap-allocated per run (not
+		// pooled): agent programs hold them across goroutine suspension
+		// points, so a pooled Proc could alias a later run's.
 		st.proc = &Proc{r: r, id: st.id, done: r.done}
 		if st.stepper == nil {
 			st.proc.act = make(chan Action)
 			st.proc.obs = make(chan Observation)
 		}
 	}
-	r.initialWake = append(r.initialWake, cfg.InitiallyAwake...)
+	r.initialWake = append(s.wake[:0], cfg.InitiallyAwake...)
 	r.dormantCount = k
 	s.contacts = boolBuf(s.contacts, k*k)
 	s.curContacts = boolBuf(s.curContacts, k*k)
@@ -508,12 +519,14 @@ func (r *Runner) Close() {
 	s.contacts, s.curContacts, s.grouped = r.contacts, r.curContacts, r.grouped
 	s.edgeGroup, s.edgeTouched = r.edgeGroup, r.edgeTouched
 	s.groups = r.groups
+	s.wake = r.initialWake[:0]
 	clear(s.states[:cap(s.states)])
 	clear(s.ptrs[:cap(s.ptrs)])
 	r.agents = nil
 	r.viewBuf = View{}
 	r.contacts, r.curContacts, r.grouped = nil, nil, nil
 	r.edgeGroup, r.edgeTouched, r.groups = nil, nil, nil
+	r.initialWake = nil
 }
 
 // anyActionable reports whether some agent is dormant or has a pending move.

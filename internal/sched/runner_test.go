@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"meetpoly/internal/graph"
@@ -285,5 +286,51 @@ func TestStatusString(t *testing.T) {
 	if StatusDormant.String() != "dormant" || StatusActive.String() != "active" ||
 		StatusHalted.String() != "halted" || Status(9).String() == "" {
 		t.Error("Status.String broken")
+	}
+}
+
+// mkAdversary builds a fresh instance of a named builtin strategy:
+// every builtin carries per-run state, so instances are never shared
+// between runs.
+func mkAdversary(t *testing.T, name string) Adversary {
+	t.Helper()
+	mk, ok := Strategies(2)[name]
+	if !ok {
+		t.Fatalf("unknown adversary %q", name)
+	}
+	return mk()
+}
+
+// TestRunnerCancellationLatency: under the avoider and late-wake
+// adversaries a mid-run cancellation must land within ctxPollStride
+// events, because steps advances on every applied event — there is no
+// event mix that defers the stride poll.
+func TestRunnerCancellationLatency(t *testing.T) {
+	for _, advName := range []string{"avoider", "late-wake"} {
+		t.Run(advName, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const cancelAt = 100
+			r, err := NewRunner(Config{
+				Graph:          graph.Ring(8),
+				Starts:         []int{0, 4},
+				Agents:         []Agent{&Walker{Stepper: endless{}}, &Walker{Stepper: endless{}}},
+				InitiallyAwake: []int{0, 1},
+				MaxSteps:       1 << 30,
+				Context:        ctx,
+			}, &cancelAfter{inner: mkAdversary(t, advName), n: cancelAt, cancel: cancel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			sum := r.Run()
+			if !sum.Canceled {
+				t.Fatalf("run not canceled: %+v", sum)
+			}
+			if sum.Steps > cancelAt+ctxPollStride {
+				t.Errorf("run took %d steps, want <= %d after cancellation at %d",
+					sum.Steps, cancelAt+ctxPollStride, cancelAt)
+			}
+		})
 	}
 }

@@ -19,7 +19,9 @@ type Action struct {
 // halts the agent forever (it remains physically present and meetable),
 // exactly like returning from Agent.Run. The Proc handle is provided
 // for Proc.Phase announcements; its Move method must not be called from
-// Step.
+// Step. The *Proc is valid only during the Step call it is passed to:
+// the runner may keep it in pooled scratch that a later run reuses, so
+// a Stepper must not retain it.
 //
 // OnMeet and Publish keep their Agent contract: they run between Step
 // invocations, so state they mutate is visible to the next Step without

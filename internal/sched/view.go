@@ -22,12 +22,8 @@ type AgentView struct {
 type View struct {
 	Steps int
 
-	// The view binds directly to whichever core owns the execution — the
-	// single-cell Runner or one lane of a BatchRunner — through the graph,
-	// a pointer to that execution's dormant counter, and an alias of its
-	// agent pointers. Binding to the pieces rather than to the Runner is
-	// what lets a BatchRunner hand each lane's adversary its own View over
-	// a slice of the shared dense state.
+	// The view binds directly to the runner's pieces: the graph, a
+	// pointer to its dormant counter, and an alias of its agent pointers.
 	g       *graph.Graph
 	dormant *int
 	// agents aliases the execution's agent pointers: the per-event

@@ -383,6 +383,8 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		// No lease grants more than LeaseCells cells, so a longer body is
+		// refused whole before any of it is folded (or read further).
 		var results []campaign.CellResult
 		sc := bufio.NewScanner(r.Body)
 		sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -390,6 +392,11 @@ func (c *Coordinator) Handler() http.Handler {
 			line := sc.Bytes()
 			if len(line) == 0 {
 				continue
+			}
+			if len(results) == c.cfg.LeaseCells {
+				http.Error(w, fmt.Sprintf("more than %d result lines: no lease grants that many cells", c.cfg.LeaseCells),
+					http.StatusRequestEntityTooLarge)
+				return
 			}
 			var cr campaign.CellResult
 			if err := json.Unmarshal(line, &cr); err != nil {

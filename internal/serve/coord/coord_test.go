@@ -291,3 +291,49 @@ func TestReportRetryAfter(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
+
+// TestCompleteBodyCap: a complete carrying more result lines than one
+// lease can grant is answered 413 and none of its lines is folded.
+func TestCompleteBodyCap(t *testing.T) {
+	const leaseCells = 4
+	c, err := New(Config{Spec: coordSpec(), LeaseCells: leaseCells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	lr := c.Lease("w")
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for i := 0; i <= leaseCells; i++ {
+		enc.Encode(campaign.CellResult{Cell: campaign.Cell{Index: i}}) //nolint:errcheck // bytes.Buffer cannot fail
+	}
+	resp, err := http.Post(ts.URL+"/v1/complete?lease="+lr.Lease, "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-long complete: code %d, want 413", resp.StatusCode)
+	}
+	if done := c.StatusNow().Done; done != 0 {
+		t.Fatalf("over-long complete folded %d cells, want 0", done)
+	}
+
+	// Exactly one lease's worth is accepted.
+	body.Reset()
+	for i := 0; i < leaseCells; i++ {
+		enc.Encode(campaign.CellResult{Cell: campaign.Cell{Index: i}}) //nolint:errcheck // bytes.Buffer cannot fail
+	}
+	resp, err = http.Post(ts.URL+"/v1/complete?lease="+lr.Lease, "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || c.StatusNow().Done != leaseCells {
+		t.Fatalf("full-lease complete: code %d, done %d, want 200 and %d",
+			resp.StatusCode, c.StatusNow().Done, leaseCells)
+	}
+}

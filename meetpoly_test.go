@@ -1,80 +1,12 @@
 package meetpoly
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
 	"meetpoly/internal/labels"
-	"meetpoly/internal/sgl"
 )
-
-func TestFacadeRendezvous(t *testing.T) {
-	env := NewEnv(5, 1)
-	g := Path(4)
-	res, err := Rendezvous(g, 0, 3, 2, 5, env, nil, 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Met {
-		t.Fatal("facade rendezvous did not meet")
-	}
-	if res.Bound.Sign() <= 0 {
-		t.Error("non-positive bound")
-	}
-}
-
-func TestFacadeBaseline(t *testing.T) {
-	env := NewEnv(4, 1)
-	res, err := BaselineRendezvous(Path(2), 0, 1, 1, 2, env, nil, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Met {
-		t.Fatal("baseline did not meet")
-	}
-}
-
-func TestFacadeCertify(t *testing.T) {
-	env := NewEnv(4, 1)
-	res, err := Certify(Path(2), 0, 1, 1, 2, env, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Forced {
-		t.Error("2-path rendezvous should be certified forced")
-	}
-}
-
-func TestFacadeESST(t *testing.T) {
-	env := NewEnv(5, 1)
-	res, err := ESSTExplore(Ring(5), 0, 2, env, nil, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done || !res.Covered {
-		t.Errorf("ESST done=%v covered=%v", res.Done, res.Covered)
-	}
-}
-
-func TestFacadeSGL(t *testing.T) {
-	env := NewEnv(5, 1)
-	res, err := SGL(SGLConfig{
-		Graph:    Path(4),
-		Starts:   []int{0, 3},
-		Labels:   []Label{1, 5},
-		Env:      env,
-		MaxSteps: 20_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllOutput {
-		t.Error("SGL incomplete")
-	}
-	if res.Agents[0].Leader != 1 {
-		t.Errorf("leader = %d", res.Agents[0].Leader)
-	}
-}
 
 func TestFacadePiBoundAndCostModel(t *testing.T) {
 	env := NewEnv(4, 1)
@@ -88,17 +20,24 @@ func TestFacadePiBoundAndCostModel(t *testing.T) {
 	}
 }
 
+// TestFacadeEnsureFor extends a catalog with EnsureFor and runs on the
+// extended family through an engine that may not extend on its own: the
+// run succeeds only if EnsureFor covered the graph.
 func TestFacadeEnsureFor(t *testing.T) {
 	env := NewEnv(4, 1)
 	g := Complete(4)
 	EnsureFor(env, g) // Complete(4) is already in the family: no-op
 	shuffled := ShufflePorts(Star(4), 99)
 	EnsureFor(env, shuffled)
-	res, err := Rendezvous(shuffled, 0, 2, 1, 2, env, RandomAdversary(5), 2_000_000)
+	eng := NewEngine(WithCatalog(env.Catalog()), WithAutoExtend(false))
+	res, err := eng.Run(context.Background(), Scenario{
+		Kind: ScenarioRendezvous, GraphInstance: shuffled, AdversaryInstance: RandomAdversary(5),
+		Starts: []int{0, 2}, Labels: []Label{1, 2}, Budget: 2_000_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Met {
+	if !res.Rendezvous.Met {
 		t.Error("no meeting on extended-family graph")
 	}
 }
@@ -113,11 +52,6 @@ func TestFacadeTypesAlias(t *testing.T) {
 	var l Label = 5
 	if l.Len() != labels.Label(5).Len() {
 		t.Error("Label alias broken")
-	}
-	var cfg SGLConfig
-	cfg.Phase2Budget = sgl.PracticalBudget(2)
-	if cfg.Phase2Budget(10, 1) != 22 {
-		t.Error("SGLConfig alias broken")
 	}
 	if Version == "" {
 		t.Error("empty version")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,19 +80,19 @@ func TestSweepStreamFoldEquality(t *testing.T) {
 
 // TestSweepStreamEarlyBreak: breaking out of the range stops the sweep
 // without leaking the pipeline's goroutines — the producer, the workers
-// (mid-batch included: the batched tier yields a whole group's results
+// (mid-unit included: a worker yields a whole work unit's results
 // through the same stop-guarded sends) and the closer must all observe
 // the stop channel and wind down — and a second sweep on the same
 // engine still works. Breaking at the very first yield is the hardest
 // teardown: the producer and every worker are still in full flight.
 //
-// The in-batch rows pin the server-conditions case — a client
+// The in-group rows pin the server-conditions case — a client
 // disconnecting while a worker is mid-way through handing over a
-// batched group's results. streamSpec's first work unit under the walk
-// order is the 8-cell rendezvous/path-3 batch (2 starts × 2 labels × 2
-// adversaries on one graph); with one worker, breaking at 2..7 lands
-// strictly inside that group's stop-guarded sends, so a stranded
-// half-consumed batch would show up as a leaked worker here.
+// same-graph work unit's results. streamSpec's first work unit under
+// the walk order is the 8-cell rendezvous/path-3 group (2 starts × 2
+// labels × 2 adversaries on one graph); with one worker, breaking at
+// 2..7 lands strictly inside that unit's stop-guarded sends, so a
+// stranded half-consumed unit would show up as a leaked worker here.
 func TestSweepStreamEarlyBreak(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -145,6 +146,47 @@ func TestSweepStreamEarlyBreak(t *testing.T) {
 				t.Fatalf("post-break sweep failed:\n%s", rep.Table())
 			}
 		})
+	}
+}
+
+// TestSweepShortRangeSpreads checks that a short range whose cells all
+// share one (kind, graph) key — a coordinator lease, a small
+// single-graph campaign — still runs on more than one worker: the first
+// cell's oracle call waits for a second cell to be judged concurrently,
+// which never happens if the whole range forms one work unit.
+func TestSweepShortRangeSpreads(t *testing.T) {
+	spec := SweepSpec{
+		Name: "one-key", Seed: "one-key-v1",
+		Kinds:      []string{"rendezvous"},
+		Graphs:     []SweepGraphAxis{{Kind: "path", Sizes: []int{4}}},
+		StartPairs: 2, LabelPairs: 2,
+		Adversaries: []string{"", "avoider"},
+		Budget:      3000,
+	}
+	var calls atomic.Int32
+	var alone atomic.Bool
+	second := make(chan struct{})
+	waitForPeer := campaign.OracleFunc{ID: "wait-for-peer", F: func(campaign.Cell, campaign.Outcome) error {
+		if calls.Add(1) == 2 {
+			close(second)
+		}
+		select {
+		case <-second:
+		case <-time.After(5 * time.Second):
+			alone.Store(true)
+		}
+		return nil
+	}}
+	eng := NewEngine(WithParallelism(2))
+	rep, err := eng.SweepWithOracles(context.Background(), spec, waitForPeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cells != 8 {
+		t.Fatalf("spec expands to %d cells, want 8", rep.Cells)
+	}
+	if alone.Load() {
+		t.Error("no second cell was judged while the first waited: the range ran on one worker")
 	}
 }
 

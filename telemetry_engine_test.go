@@ -10,8 +10,7 @@ import (
 )
 
 // telemetryTestSpec is cacheTestSpec widened to every builtin kind, so
-// the differential covers the batched tier (rendezvous, baseline) and
-// the per-cell tiers (esst, sgl, certify) alike.
+// the differential covers every kind's runner.
 func telemetryTestSpec() SweepSpec {
 	spec := cacheTestSpec()
 	spec.Kinds = []string{"rendezvous", "baseline", "esst", "sgl", "certify"}
@@ -73,7 +72,7 @@ func TestSweepTelemetryInvisibleToResults(t *testing.T) {
 		"meetpoly_engine_cache_hits_total",
 		"meetpoly_engine_cache_misses_total",
 		"meetpoly_engine_cell_verdicts_total",
-		"meetpoly_engine_batch_cells_total",
+		"meetpoly_engine_cell_wall_ns",
 		"meetpoly_engine_route_replays_total",
 		"meetpoly_engine_pi_slack_millibits",
 	} {
@@ -116,9 +115,6 @@ func TestCellTraceSpans(t *testing.T) {
 			t.Errorf("unknown trace phase %q", ev.Phase)
 		}
 	}))
-	if eng.batchEligible() {
-		t.Error("an attached cell tracer must disable the batched tier")
-	}
 	rep, err := eng.Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +124,32 @@ func TestCellTraceSpans(t *testing.T) {
 	}
 	if ends != rep.Cells {
 		t.Errorf("saw %d end spans, want %d", ends, rep.Cells)
+	}
+}
+
+// TestCellWallPerCell: a default-engine sweep of only rendezvous and
+// baseline cells records one meetpoly_engine_cell_wall_ns observation
+// per cell, so the histogram is populated under the default
+// configuration for every kind.
+func TestCellWallPerCell(t *testing.T) {
+	spec := cacheTestSpec()
+	spec.Kinds = []string{"rendezvous", "baseline"}
+	total, err := CountSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetrics()
+	if _, err := NewEngine(WithTelemetry(reg)).Sweep(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	var count uint64
+	for _, p := range reg.Snapshot() {
+		if p.Name == "meetpoly_engine_cell_wall_ns" {
+			count += p.Count
+		}
+	}
+	if count != uint64(total) {
+		t.Errorf("meetpoly_engine_cell_wall_ns recorded %v observations, want one per cell (%d)", count, total)
 	}
 }
 
