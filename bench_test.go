@@ -275,9 +275,7 @@ func BenchmarkAblationAdversary(b *testing.B) {
 
 // BenchmarkEngineRunPrepared measures one engine-run of a rendezvous
 // scenario on the warm prepared-scenario cache (graph, coverage and
-// routes amortized — the sweep steady state) against the uncached path
-// (WithPreparedCache(false): every run re-builds, re-covers and
-// re-derives its trajectories).
+// routes amortized — the sweep steady state).
 func BenchmarkEngineRunPrepared(b *testing.B) {
 	ctx := context.Background()
 	sc := Scenario{
@@ -303,24 +301,11 @@ func BenchmarkEngineRunPrepared(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cold-cache", func(b *testing.B) {
-		eng := NewEngine(WithPreparedCache(false))
-		if _, err := eng.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
-			b.Fatal(err) // catalog warm-up only; preparation stays cold
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSweepThroughput measures end-to-end campaign throughput in
 // cells/sec — the quantity BENCH_sched.json's prep/run split records —
-// on the warm and uncached engines.
+// on a warm engine.
 func BenchmarkSweepThroughput(b *testing.B) {
 	ctx := context.Background()
 	spec := SweepSpec{
@@ -338,7 +323,11 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, eng *Engine) {
+	b.Run("warm-cache", func(b *testing.B) {
+		eng := NewEngine()
+		if _, err := eng.Sweep(ctx, spec); err != nil {
+			b.Fatal(err) // fill the prepared-scenario cache
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -351,16 +340,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
-	}
-	b.Run("warm-cache", func(b *testing.B) {
-		eng := NewEngine()
-		if _, err := eng.Sweep(ctx, spec); err != nil {
-			b.Fatal(err) // fill the prepared-scenario cache
-		}
-		run(b, eng)
-	})
-	b.Run("cold-cache", func(b *testing.B) {
-		run(b, NewEngine(WithPreparedCache(false)))
 	})
 }
 

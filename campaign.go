@@ -149,15 +149,7 @@ func sweepGraphSpecs(spec SweepSpec) ([]GraphSpec, error) {
 // outcome the campaign oracles consume.
 func sweepOutcome(cell SweepCell, br BatchResult) SweepOutcome {
 	o := SweepOutcome{Consistent: true}
-	g := br.Graph
-	if g == nil {
-		// Replayed cells arrive without the batch-prepared graph; the
-		// build is deterministic, so rebuilding preserves the facts.
-		if built, err := br.Scenario.BuildGraph(); err == nil {
-			g = built
-		}
-	}
-	if g != nil {
+	if g := br.Graph; g != nil {
 		o.N, o.M = g.N(), g.M()
 	}
 	if br.Err != nil {

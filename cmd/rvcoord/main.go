@@ -43,6 +43,10 @@ import (
 	"meetpoly/internal/telemetry/logx"
 )
 
+// idleTimeout closes keep-alive connections that carry no request for
+// this long.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8748", "address to listen on")
@@ -101,9 +105,10 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	// A client that never finishes its request headers must not hold a
-	// connection open forever.
-	httpSrv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	// A client that never finishes its request headers, or parks an
+	// idle keep-alive connection, must not hold it open forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: mux,
+		ReadHeaderTimeout: 10 * time.Second, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("listening",

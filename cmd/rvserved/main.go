@@ -66,6 +66,10 @@ import (
 	"meetpoly/internal/telemetry/logx"
 )
 
+// idleTimeout closes keep-alive connections that carry no request for
+// this long.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8747", "address to listen on")
@@ -159,9 +163,10 @@ func main() {
 		Pprof:           *pprofOn,
 	})
 
-	// A client that never finishes its request headers must not hold a
-	// connection open forever.
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	// A client that never finishes its request headers, or parks an
+	// idle keep-alive connection, must not hold it open forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("listening",

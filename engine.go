@@ -38,7 +38,6 @@ type Engine struct {
 	parallelism   int
 	autoExtend    bool
 	forceBlocking bool
-	usePrepCache  bool
 
 	// mu guards catalog coverage checks and extensions; sequence reads
 	// are internally synchronized by the catalog itself.
@@ -77,13 +76,14 @@ type Engine struct {
 	cellTrace func(CellTraceEvent)
 }
 
-// preparedGraph is one cache entry of the engine's prepared-scenario
-// cache. The build (graph construction plus edge-index prebuild) and
-// the catalog coverage verdict each run exactly once per fingerprint —
-// as two stages, so scenario validation keeps its place between them
-// and error precedence matches the uncached path. The route book is
-// replaced when the catalog epoch moves (an extension changes sequence
-// lengths, and with them every master trajectory).
+// preparedGraph is one prepared graph: an entry of the engine's
+// prepared-scenario cache, or the one-off entry prepare makes for a
+// GraphInstance scenario (which arrives built). The build (graph
+// construction plus edge-index prebuild) and the catalog coverage
+// verdict each run at most once per entry — as two stages, so scenario
+// validation keeps its place between them. The route book is replaced
+// when the catalog epoch moves (an extension changes sequence lengths,
+// and with them every master trajectory).
 type preparedGraph struct {
 	buildOnce sync.Once
 	g         *Graph
@@ -118,11 +118,10 @@ func (pg *preparedGraph) build(spec GraphSpec) {
 }
 
 // cover memoizes the catalog coverage verdict (including any family
-// extension the engine's policy allows). The spec is only rendered
-// into the failure message, inside the once, so the hot (hit) path
-// never formats it.
-func (pg *preparedGraph) cover(e *Engine, spec GraphSpec) error {
-	pg.coverOnce.Do(func() { pg.coverErr = e.ensureCovered(pg.g, spec.String()) })
+// extension the engine's policy allows). spec names the graph in the
+// failure message (nil for a GraphInstance, which reports its own name).
+func (pg *preparedGraph) cover(e *Engine, spec *GraphSpec) error {
+	pg.coverOnce.Do(func() { pg.coverErr = e.ensureCovered(pg.g, spec) })
 	return pg.coverErr
 }
 
@@ -206,7 +205,6 @@ type engineConfig struct {
 	parallelism    int
 	autoExtend     bool
 	directDispatch bool
-	preparedCache  bool
 	metrics        *Metrics
 	cellTrace      func(CellTraceEvent)
 }
@@ -251,23 +249,12 @@ func WithAutoExtend(on bool) Option { return func(c *engineConfig) { c.autoExten
 // fast path off exists for exactly those comparisons.
 func WithDirectDispatch(on bool) Option { return func(c *engineConfig) { c.directDispatch = on } }
 
-// WithPreparedCache controls the engine's prepared-scenario cache (on
-// by default): declaratively specified graphs are built, edge-indexed
-// and coverage-checked once per unique GraphSpec, and the deterministic
-// agent routes of rendezvous, baseline and certify scenarios are
-// materialized once per (graph, start, label) and replayed thereafter.
-// Cached and uncached execution are observationally identical (the
-// differential sweep test enforces byte-identical reports); turning the
-// cache off exists for exactly that comparison, and for engines fed
-// unbounded streams of distinct specs where the cache could only grow.
-func WithPreparedCache(on bool) Option { return func(c *engineConfig) { c.preparedCache = on } }
-
 // NewEngine builds an engine. With no options it verifies a compact
 // exploration catalog on the standard graph families up to 6 nodes,
 // exactly like NewEnv(6, 1).
 func NewEngine(opts ...Option) *Engine {
 	cfg := engineConfig{maxN: 6, seed: 1, parallelism: runtime.GOMAXPROCS(0), autoExtend: true,
-		directDispatch: true, preparedCache: true}
+		directDispatch: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -282,7 +269,6 @@ func NewEngine(opts ...Option) *Engine {
 		parallelism:   cfg.parallelism,
 		autoExtend:    cfg.autoExtend,
 		forceBlocking: !cfg.directDispatch,
-		usePrepCache:  cfg.preparedCache,
 	}
 	if cfg.obs != nil {
 		e.obs = &lockedObserver{inner: cfg.obs}
@@ -309,13 +295,13 @@ func NewEngine(opts ...Option) *Engine {
 func (e *Engine) Env() *Env { return e.env }
 
 // ensureCovered makes sure the catalog's integrality guarantee applies
-// to g; desc names the graph in the failure (the compact GraphSpec
-// string for declarative scenarios, the graph's own name for
-// instances). Verified catalogs recognize structurally identical family
-// members (so scenario-rebuilt graphs cost nothing); genuinely new
+// to g; the failure names the graph by the compact string of its spec,
+// or by the graph's own name when spec is nil (instances). Verified
+// catalogs recognize structurally identical family members (so
+// scenario-rebuilt graphs cost nothing); genuinely new
 // graphs either extend the family or fail, per WithAutoExtend. Formula
 // catalogs cover probabilistically and always pass.
-func (e *Engine) ensureCovered(g *Graph, desc string) error {
+func (e *Engine) ensureCovered(g *Graph, spec *GraphSpec) error {
 	v, ok := e.env.Catalog().(*uxs.Verified)
 	if !ok {
 		return nil
@@ -326,6 +312,10 @@ func (e *Engine) ensureCovered(g *Graph, desc string) error {
 		return nil
 	}
 	if !e.autoExtend {
+		desc := g.String()
+		if spec != nil {
+			desc = spec.String()
+		}
 		return fmt.Errorf("graph %s (n=%d, family max %d): %w",
 			desc, g.N(), v.MaxN(), ErrCatalogUncovered)
 	}
@@ -355,49 +345,35 @@ type Result struct {
 }
 
 // prepare builds, validates and catalog-covers a scenario, returning
-// the resolved graph, adversary and (for cached declarative specs) the
-// graph's route book. Declarative graphs go through the prepared-
-// scenario cache: the build and coverage check run once per unique
-// GraphSpec, and repeated preparations are two lock-free map reads.
-// Pre-built GraphInstance scenarios bypass the cache — the engine
-// cannot fingerprint an arbitrary caller-owned graph.
+// the resolved graph, adversary and the graph's route book. Declarative
+// graphs go through the prepared-scenario cache: the build and coverage
+// check run once per unique GraphSpec, and repeated preparations are
+// two lock-free map reads. A pre-built GraphInstance has no fingerprint,
+// so it gets a one-off entry that is never stored in the cache but
+// carries its own route book. When validation, coverage or adversary
+// resolution fails, the built graph is still returned with the error.
 func (e *Engine) prepare(sc Scenario) (*Graph, Adversary, *trajectory.RouteBook, error) {
-	if sc.GraphInstance == nil && e.usePrepCache {
-		pg := e.preparedFor(sc.Graph)
-		if pg.buildErr != nil {
-			return nil, nil, nil, pg.buildErr
-		}
-		if err := sc.validateWith(pg.g); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := pg.cover(e, sc.Graph); err != nil {
-			return nil, nil, nil, err
-		}
-		adv, err := sc.resolveAdversary()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return pg.g, adv, pg.book(e), nil
+	var pg *preparedGraph
+	spec := &sc.Graph
+	if sc.GraphInstance != nil {
+		pg, spec = &preparedGraph{g: sc.GraphInstance}, nil
+	} else {
+		pg = e.preparedFor(sc.Graph)
 	}
-	g, err := sc.BuildGraph()
-	if err != nil {
-		return nil, nil, nil, err
+	if pg.buildErr != nil {
+		return nil, nil, nil, pg.buildErr
 	}
-	if err := sc.validateWith(g); err != nil {
-		return nil, nil, nil, err
+	if err := sc.validateWith(pg.g); err != nil {
+		return pg.g, nil, nil, err
 	}
-	desc := g.String()
-	if sc.GraphInstance == nil {
-		desc = sc.Graph.String()
-	}
-	if err := e.ensureCovered(g, desc); err != nil {
-		return nil, nil, nil, err
+	if err := pg.cover(e, spec); err != nil {
+		return pg.g, nil, nil, err
 	}
 	adv, err := sc.resolveAdversary()
 	if err != nil {
-		return nil, nil, nil, err
+		return pg.g, nil, nil, err
 	}
-	return g, adv, nil, nil
+	return pg.g, adv, pg.book(e), nil
 }
 
 // Run validates and executes one scenario. The context cancels the run
@@ -415,10 +391,9 @@ func (e *Engine) Run(ctx context.Context, sc Scenario) (*Result, error) {
 
 // runPrepared executes a scenario whose graph, validity and catalog
 // coverage prepare has already resolved, by dispatching to the kind's
-// registered runner. A non-nil routes book (cached declarative specs)
-// makes the deterministic built-in kinds — rendezvous, baseline,
-// certify — replay materialized routes instead of re-deriving their
-// trajectories.
+// registered runner. The deterministic built-in kinds — rendezvous,
+// baseline, certify — replay their routes from the graph's route book
+// instead of re-deriving their trajectories.
 func (e *Engine) runPrepared(ctx context.Context, sc Scenario, g *Graph, adv Adversary, routes *trajectory.RouteBook) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -443,15 +418,8 @@ func (e *Engine) runPrepared(ctx context.Context, sc Scenario, g *Graph, adv Adv
 }
 
 // masterStepper returns the rendezvous master trajectory for (start,
-// label): a cached route replay when the graph has a route book, a
-// fresh composite stepper otherwise.
-func (e *Engine) masterStepper(routes *trajectory.RouteBook, g *Graph, start int, l Label) trajectory.Stepper {
-	if routes == nil {
-		if e.tele != nil {
-			e.tele.routeFresh.Inc()
-		}
-		return core.NewStepper(l, e.env)
-	}
+// label) as a replay from the graph's route book.
+func (e *Engine) masterStepper(routes *trajectory.RouteBook, start int, l Label) trajectory.Stepper {
 	if e.tele != nil {
 		e.tele.routeReplay.Inc()
 	}
@@ -462,17 +430,10 @@ func (e *Engine) masterStepper(routes *trajectory.RouteBook, g *Graph, start int
 // baselineStepper is masterStepper for the exponential baseline
 // trajectory (which additionally depends on the graph size — fixed per
 // route book, so the same key shape works).
-func (e *Engine) baselineStepper(routes *trajectory.RouteBook, g *Graph, start int, l Label) trajectory.Stepper {
-	if routes == nil {
-		if e.tele != nil {
-			e.tele.routeFresh.Inc()
-		}
-		return baseline.NewStepper(e.env, g.N(), l)
-	}
+func (e *Engine) baselineStepper(routes *trajectory.RouteBook, n, start int, l Label) trajectory.Stepper {
 	if e.tele != nil {
 		e.tele.routeReplay.Inc()
 	}
-	n := g.N()
 	return routes.Stepper(trajectory.RouteKey{Start: start, Kind: 'B', Param: uint64(l)},
 		func() trajectory.Stepper { return baseline.NewStepper(e.env, n, l) })
 }
@@ -488,9 +449,11 @@ func (e *Engine) masterRoute(routes *trajectory.RouteBook, start int, l Label, m
 type BatchResult struct {
 	Index    int
 	Scenario Scenario
-	// Graph is the built graph the run executed (nil when the build or
-	// validation failed). Consumers that need graph facts — campaign
-	// oracles read N and M — use it instead of rebuilding the spec.
+	// Graph is the built graph the scenario prepared: set whenever the
+	// build succeeded, even if validation, coverage or adversary
+	// resolution then failed; nil only for a failed build. Consumers
+	// that need graph facts — campaign oracles read N and M — use it
+	// instead of rebuilding the spec.
 	Graph  *Graph
 	Result *Result
 	Err    error
@@ -520,11 +483,11 @@ func (e *Engine) RunBatch(ctx context.Context, scs []Scenario) []BatchResult {
 	for i, sc := range scs {
 		out[i] = BatchResult{Index: i, Scenario: sc}
 		g, adv, routes, err := e.prepare(sc)
+		out[i].Graph = g
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
-		out[i].Graph = g
 		runnable = append(runnable, prepared{idx: i, g: g, adv: adv, routes: routes})
 	}
 	workers := e.parallelism
@@ -722,12 +685,8 @@ func (e *Engine) sweepPrepass(spec SweepSpec) {
 		return
 	}
 	for _, gs := range gspecs {
-		if e.usePrepCache {
-			if pg := e.preparedFor(gs); pg.buildErr == nil {
-				pg.cover(e, gs) //nolint:errcheck // memoized; cells report it
-			}
-		} else if g, err := gs.Build(); err == nil {
-			e.ensureCovered(g, gs.String()) //nolint:errcheck // re-derived per cell
+		if pg := e.preparedFor(gs); pg.buildErr == nil {
+			pg.cover(e, &gs) //nolint:errcheck // memoized; cells report it
 		}
 	}
 }
@@ -905,8 +864,7 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 }
 
 // runCell prepares, executes and oracle-judges one sweep cell — the
-// worker body of the streaming pipeline, and exactly the sequence
-// ReplayCell performs for one seed string.
+// worker body of the streaming pipeline, and the body of ReplayCell.
 func (e *Engine) runCell(ctx context.Context, cell SweepCell, oracles []SweepOracle) SweepCellResult {
 	// Telemetry brackets the cell (wall-time histogram, begin/end trace
 	// spans); the timestamps live on the telemetry clock and annotate
@@ -922,10 +880,10 @@ func (e *Engine) runCell(ctx context.Context, cell SweepCell, oracles []SweepOra
 	sc := CellScenario(cell)
 	br := BatchResult{Index: cell.Index, Scenario: sc}
 	g, adv, routes, err := e.prepare(sc)
+	br.Graph = g
 	if err != nil {
 		br.Err = err
 	} else {
-		br.Graph = g
 		br.Result, br.Err = e.runPrepared(ctx, sc, g, adv, routes)
 	}
 	cr := e.judge(cell, br, oracles)
@@ -957,18 +915,21 @@ func (e *Engine) judge(cell SweepCell, br BatchResult, oracles []SweepOracle) Sw
 }
 
 // ReplayCell re-derives the single cell a replay seed string identifies
-// (spec must be the campaign it came from), executes it, and re-checks
-// the default oracle suite — the one-seed-string reproduction loop for
-// sweep failures. Use ReplayCellWithOracles to reproduce a failure of a
-// custom suite.
+// (spec must be the campaign it came from) and runs it through the
+// sweep's own sequence: the graph pre-pass over the WHOLE spec, the
+// default oracle suite bound after it, then the per-cell path every
+// sweep worker runs. The pre-pass makes a replay on a fresh engine
+// reach the catalog state the sweep ran under — sequence lengths
+// depend on every out-of-family graph of the spec, not only the
+// cell's own — so any sweep failure reproduces from its one seed
+// string. Use ReplayCellWithOracles to reproduce a failure of a custom
+// suite.
 func (e *Engine) ReplayCell(ctx context.Context, spec SweepSpec, seed string) (*SweepCellResult, error) {
-	// Like Sweep, the default suite binds after the run's preparation:
-	// replaying a cell whose graph extends the catalog must judge
-	// against the post-extension sequence lengths the run used.
 	return e.replayCell(ctx, spec, seed, e.defaultOracles)
 }
 
-// ReplayCellWithOracles is ReplayCell with an explicit oracle suite.
+// ReplayCellWithOracles is ReplayCell with an explicit oracle suite; it
+// runs the same full-spec pre-pass first.
 func (e *Engine) ReplayCellWithOracles(ctx context.Context, spec SweepSpec, seed string, oracles ...SweepOracle) (*SweepCellResult, error) {
 	return e.replayCell(ctx, spec, seed, func() []SweepOracle { return oracles })
 }
@@ -978,8 +939,7 @@ func (e *Engine) replayCell(ctx context.Context, spec SweepSpec, seed string, mk
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrInvalidScenario)
 	}
-	sc := CellScenario(cell)
-	res, runErr := e.Run(ctx, sc)
-	cr := e.judge(cell, BatchResult{Index: cell.Index, Scenario: sc, Result: res, Err: runErr}, mkOracles())
+	e.sweepPrepass(spec)
+	cr := e.runCell(ctx, cell, mkOracles())
 	return &cr, nil
 }

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"meetpoly/internal/baseline"
+	"meetpoly/internal/core"
 	"meetpoly/internal/graph"
 )
 
@@ -167,34 +170,105 @@ func TestShuffleSeedsNeverAlias(t *testing.T) {
 	}
 }
 
-// TestCachedUncachedSweepsIdentical is the differential acceptance
-// test: the same campaign on a cache-on and a cache-off engine must
-// produce byte-identical reports. The cache (graphs, coverage
-// verdicts, route replays) is an amortization of preparation cost, not
-// an approximation of execution.
-func TestCachedUncachedSweepsIdentical(t *testing.T) {
+// TestRouteReplayMatchesFreshDerivation is the differential reference
+// for route books: every rendezvous, baseline and certify cell the
+// engine runs (replaying routes from the prepared graph's book) must
+// report exactly the Summary or CertResult of the fresh-derivation
+// entry points — core.Rendezvous, baseline.Rendezvous and
+// core.CertifyInstance, which walk their trajectories through
+// NewStepper and never touch a route book — on the same built graph,
+// with the engine's Env and a freshly resolved adversary. The route
+// book is an amortization of trajectory derivation, not an
+// approximation of it.
+func TestRouteReplayMatchesFreshDerivation(t *testing.T) {
 	spec := cacheTestSpec()
-	spec.Kinds = []string{"rendezvous", "baseline", "esst", "sgl", "certify"}
+	spec.Kinds = []string{"rendezvous", "baseline", "certify"}
 	spec.StartPairs = 1
 	// A modest budget keeps the -race run fast; cells that exhaust it
 	// (baseline's exponential walks under the avoider) are still valid
-	// differential material — both engines must exhaust identically.
+	// differential material — both paths must exhaust identically.
 	spec.Budget = 40_000
 
-	cached, err := NewEngine().Sweep(context.Background(), spec)
+	cells, scs, err := ExpandSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := NewEngine(WithPreparedCache(false)).Sweep(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	eng := NewEngine()
+	env := eng.Env()
+	for i, br := range eng.RunBatch(context.Background(), scs) {
+		sc, g, res := scs[i], br.Graph, br.Result
+		if res == nil {
+			t.Fatalf("cell %s: no result: %v", cells[i].ID, br.Err)
+		}
+		adv, err := sc.resolveAdversary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s0, s1, l0, l1 := sc.Starts[0], sc.Starts[1], sc.Labels[0], sc.Labels[1]
+		var got, want any
+		switch sc.Kind {
+		case ScenarioRendezvous:
+			ref, err := core.Rendezvous(g, s0, s1, l0, l1, env, adv, sc.Budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want = res.Rendezvous.Summary, ref.Summary
+		case ScenarioBaseline:
+			ref, err := baseline.Rendezvous(g, s0, s1, l0, l1, env, adv, sc.Budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want = res.Baseline.Summary, ref.Summary
+		case ScenarioCertify:
+			ref, err := core.CertifyInstance(g, s0, s1, l0, l1, env, sc.Moves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want = *res.Cert, ref
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cell %s: route replay %+v, fresh derivation %+v", cells[i].ID, got, want)
+		}
 	}
-	jc, ju := mustJSON(t, cached), mustJSON(t, uncached)
-	if !bytes.Equal(jc, ju) {
-		t.Fatalf("cached and uncached sweep reports differ:\ncached:   %s\nuncached: %s", jc, ju)
+}
+
+// TestGraphInstanceMatchesSpec runs each built-in kind on a declarative
+// GraphSpec and again on a GraphInstance of the same graph: the results
+// must agree, and the instance runs — prepared as one-off entries with
+// their own route books — must leave the prepared-scenario cache
+// untouched.
+func TestGraphInstanceMatchesSpec(t *testing.T) {
+	spec := GraphSpec{Kind: "ring", N: 5, Shuffle: true, Seed: 3}
+	scs := []Scenario{
+		{Kind: ScenarioRendezvous, Starts: []int{0, 2}, Labels: []Label{2, 5}, Adversary: "avoider", Budget: 5000},
+		{Kind: ScenarioBaseline, Starts: []int{0, 2}, Labels: []Label{2, 5}, Adversary: "random:4", Budget: 5000},
+		{Kind: ScenarioCertify, Starts: []int{1, 3}, Labels: []Label{3, 6}, Moves: 60},
+		{Kind: ScenarioESST, Starts: []int{0, 3}, Budget: 5000},
+		{Kind: ScenarioSGL, Starts: []int{0, 2, 4}, Labels: []Label{4, 2, 7}, Budget: 20_000},
 	}
-	if !cached.OK() {
-		t.Fatalf("sweep failed oracles:\n%s", cached.Table())
+	ctx := context.Background()
+	eng := NewEngine()
+	for _, sc := range scs {
+		g, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byInst := sc
+		byInst.GraphInstance = g
+		sc.Graph = spec
+		want, wantErr := eng.Run(ctx, sc)
+		before := eng.CacheStats()
+		got, gotErr := eng.Run(ctx, byInst)
+		if after := eng.CacheStats(); after != before {
+			t.Errorf("%s: instance run moved the cache stats %+v -> %+v", sc.Kind, before, after)
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: instance error %v, spec error %v", sc.Kind, gotErr, wantErr)
+		}
+		got.Scenario, want.Scenario = Scenario{}, Scenario{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: instance result %+v, spec result %+v", sc.Kind, got, want)
+		}
 	}
 }
 
@@ -306,5 +380,50 @@ func TestCacheStatsConsistentSnapshot(t *testing.T) {
 	st := eng.CacheStats()
 	if st.Hits != workers*iters || st.Misses != workers*iters+1 {
 		t.Fatalf("final stats %+v, want Hits=%d Misses=%d", st, workers*iters, workers*iters+1)
+	}
+}
+
+// TestReplayOnFreshEngineMatchesSweep replays every cell of a sweep on
+// a fresh engine, as `rvsweep -replay` does, and requires the sweep's
+// outcome and verdicts. Sequence lengths depend on the whole catalog
+// family: the sweep's pre-pass extends the catalog with every
+// out-of-family graph of the spec, in axis order, so a replay that
+// covered only its own cell's graph would run under different
+// sequences: both star-9 cells then met at a different cost than in
+// the sweep.
+func TestReplayOnFreshEngineMatchesSweep(t *testing.T) {
+	spec := SweepSpec{
+		Name:  "fresh-replay",
+		Seed:  "fresh-replay-v1",
+		Kinds: []string{"baseline"},
+		Graphs: []SweepGraphAxis{
+			{Kind: "ring", Sizes: []int{7}},
+			{Kind: "star", Sizes: []int{9}},
+			{Kind: "tree", Sizes: []int{9}},
+		},
+		StartPairs:  2,
+		Adversaries: []string{"avoider"},
+		Budget:      20_000,
+	}
+	ctx := context.Background()
+	n := 0
+	for cr, err := range NewEngine().SweepStream(ctx, spec) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		got, err := NewEngine().ReplayCell(ctx, spec, cr.Cell.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Outcome != cr.Outcome {
+			t.Errorf("cell %s: fresh replay outcome %+v, sweep outcome %+v", cr.Cell.ID, got.Outcome, cr.Outcome)
+		}
+		if len(got.Failures) != len(cr.Failures) {
+			t.Errorf("cell %s: fresh replay failures %v, sweep failures %v", cr.Cell.ID, got.Failures, cr.Failures)
+		}
+	}
+	if n != 6 {
+		t.Fatalf("swept %d cells, want 6", n)
 	}
 }

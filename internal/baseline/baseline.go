@@ -64,22 +64,16 @@ type Result struct {
 // distinct) under the given adversary.
 func Rendezvous(g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
 	env *trajectory.Env, adv sched.Adversary, budget int) (*Result, error) {
-	return RendezvousWith(sched.RunOpts{}, g, start1, start2, l1, l2, env, adv, budget)
-}
-
-// RendezvousWith is Rendezvous with cross-cutting execution options
-// (context cancellation and an execution observer).
-func RendezvousWith(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, adv sched.Adversary, budget int) (*Result, error) {
 	n := g.N()
-	return RendezvousSteppers(opts, g, start1, start2, l1, l2, env, adv, budget,
+	return RendezvousSteppers(sched.RunOpts{}, g, start1, start2, l1, l2, env, adv, budget,
 		NewStepper(env, n, l1), NewStepper(env, n, l2))
 }
 
-// RendezvousSteppers is RendezvousWith with the agents' trajectory
-// steppers supplied by the caller (the engine passes cached route
-// replays — see trajectory.RouteBook). The steppers must render exactly
-// the baseline trajectories of l1 and l2 at the graph's size.
+// RendezvousSteppers is Rendezvous with cross-cutting execution options
+// (context cancellation and an execution observer) and the agents'
+// trajectory steppers supplied by the caller (the engine passes cached
+// route replays — see trajectory.RouteBook). The steppers must render
+// exactly the baseline trajectories of l1 and l2 at the graph's size.
 func RendezvousSteppers(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
 	env *trajectory.Env, adv sched.Adversary, budget int, s1, s2 trajectory.Stepper) (*Result, error) {
 	if l1 == l2 {

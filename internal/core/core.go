@@ -153,24 +153,18 @@ type Result struct {
 // the adversary chooses who actually moves.
 func Rendezvous(g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
 	env *trajectory.Env, adv sched.Adversary, budget int) (*Result, error) {
-	return RendezvousWith(sched.RunOpts{}, g, start1, start2, l1, l2, env, adv, budget)
-}
-
-// RendezvousWith is Rendezvous with cross-cutting execution options: a
-// context whose cancellation aborts the scheduler between events
-// (reported in Result.Summary.Canceled) and an observer receiving the
-// execution's events.
-func RendezvousWith(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, adv sched.Adversary, budget int) (*Result, error) {
-	return RendezvousSteppers(opts, g, start1, start2, l1, l2, env, adv, budget,
+	return RendezvousSteppers(sched.RunOpts{}, g, start1, start2, l1, l2, env, adv, budget,
 		NewStepper(l1, env), NewStepper(l2, env))
 }
 
-// RendezvousSteppers is RendezvousWith with the two agents' trajectory
-// steppers supplied by the caller. The steppers must emit exactly the
-// master trajectories of l1 and l2 — the engine passes cached route
-// replays here (trajectory.RouteBook), which are deterministic renditions
-// of the same walks, so repeated instances skip trajectory re-derivation.
+// RendezvousSteppers is Rendezvous with cross-cutting execution options
+// (a context whose cancellation aborts the scheduler between events,
+// reported in Result.Summary.Canceled, and an observer receiving the
+// execution's events) and the two agents' trajectory steppers supplied
+// by the caller. The steppers must emit exactly the master trajectories
+// of l1 and l2 — the engine passes cached route replays here
+// (trajectory.RouteBook), which are deterministic renditions of the same
+// walks, so repeated instances skip trajectory re-derivation.
 // bound, when non-nil, is the precomputed Π(n, min label length) for the
 // instance (the engine memoizes it across a sweep); nil derives it here.
 func RendezvousSteppers(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
@@ -226,26 +220,18 @@ func Route(g *graph.Graph, start int, l labels.Label, env *trajectory.Env, moves
 // the meeting within these prefixes.
 func CertifyInstance(g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
 	env *trajectory.Env, moves int) (sched.CertResult, error) {
-	return CertifyInstanceWith(sched.RunOpts{}, g, start1, start2, l1, l2, env, moves)
-}
-
-// CertifyInstanceWith is CertifyInstance with cross-cutting execution
-// options; cancellation aborts the lattice sweep mid-run with an error
-// wrapping rverr.ErrCanceled.
-func CertifyInstanceWith(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, moves int) (sched.CertResult, error) {
 	if l1 == l2 {
 		return sched.CertResult{}, fmt.Errorf("core: agents must have distinct labels: %w", rverr.ErrInvalidScenario)
 	}
-	ra := Route(g, start1, l1, env, moves)
-	rb := Route(g, start2, l2, env, moves)
-	return sched.CertifyCtx(opts.Ctx, ra, rb)
+	return sched.Certify(Route(g, start1, l1, env, moves), Route(g, start2, l2, env, moves))
 }
 
 // CertifyRoutes runs the exhaustive adversary on two pre-materialized
-// route prefixes (same shape as Route's result). The engine uses it
-// with cached routes so sweeps re-derive each certify route once per
-// (graph, start, label) instead of once per cell.
+// route prefixes (same shape as Route's result); cancellation of
+// opts.Ctx aborts the lattice sweep mid-run with an error wrapping
+// rverr.ErrCanceled. The engine uses it with cached routes so sweeps
+// re-derive each certify route once per (graph, start, label) instead
+// of once per cell.
 func CertifyRoutes(opts sched.RunOpts, ra, rb []int, l1, l2 labels.Label) (sched.CertResult, error) {
 	if l1 == l2 {
 		return sched.CertResult{}, fmt.Errorf("core: agents must have distinct labels: %w", rverr.ErrInvalidScenario)

@@ -32,6 +32,7 @@ package coord
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -86,6 +87,10 @@ const (
 	DefaultLeaseTTL   = 10 * time.Second
 	DefaultRetryAfter = time.Second
 )
+
+// maxResultLine caps one NDJSON result line of /v1/complete (4 MiB); a
+// complete body is capped at LeaseCells such lines.
+const maxResultLine = 1 << 22
 
 // lease is one outstanding grant: a set of cell intervals owned by one
 // worker until expiry.
@@ -384,10 +389,14 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		// No lease grants more than LeaseCells cells, so a longer body is
-		// refused whole before any of it is folded (or read further).
+		// refused whole before any of it is folded (or read further). The
+		// byte cap bounds what the line count cannot: blank lines are
+		// skipped before they are counted, so without it a body of
+		// endless newlines would be read forever.
 		var results []campaign.CellResult
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+		body := http.MaxBytesReader(w, r.Body, int64(c.cfg.LeaseCells)*maxResultLine)
+		sc := bufio.NewScanner(body)
+		sc.Buffer(make([]byte, 0, 1<<16), maxResultLine)
 		for sc.Scan() {
 			line := sc.Bytes()
 			if len(line) == 0 {
@@ -406,7 +415,12 @@ func (c *Coordinator) Handler() http.Handler {
 			results = append(results, cr)
 		}
 		if err := sc.Err(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		n, err := c.Complete(r.URL.Query().Get("lease"), results)

@@ -337,3 +337,43 @@ func TestCompleteBodyCap(t *testing.T) {
 			resp.StatusCode, c.StatusNow().Done, leaseCells)
 	}
 }
+
+// newlines is an endless request body of blank lines.
+type newlines struct{}
+
+func (newlines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '\n'
+	}
+	return len(p), nil
+}
+
+// TestCompleteEndlessBlankLines: blank lines are skipped before the
+// result-line count is checked, so only the byte cap stops a complete
+// whose body never ends. It must be answered 413, promptly, with
+// nothing folded.
+func TestCompleteEndlessBlankLines(t *testing.T) {
+	c, err := New(Config{Spec: coordSpec(), LeaseCells: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := c.Lease("w")
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/complete?lease="+lr.Lease, newlines{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c.Handler().ServeHTTP(rec, req)
+	}()
+	select {
+	case <-served:
+	case <-time.After(30 * time.Second):
+		t.Fatal("complete with an endless body of blank lines did not return within 30s")
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("endless complete: code %d, want 413", rec.Code)
+	}
+	if done := c.StatusNow().Done; done != 0 {
+		t.Fatalf("endless complete folded %d cells, want 0", done)
+	}
+}

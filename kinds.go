@@ -39,7 +39,8 @@ type ScenarioRunContext struct {
 	// mutable state; runners own it for the duration of the run.
 	Adversary Adversary
 
-	// routes is the graph's route book (nil for cache-bypassing runs):
+	// routes is the graph's route book — the cache entry's for a
+	// declarative spec, a one-off book for a GraphInstance, never nil:
 	// the built-in deterministic kinds replay materialized trajectories
 	// from it instead of re-deriving them.
 	routes *trajectory.RouteBook
@@ -308,8 +309,8 @@ func validateSGL(s Scenario, g *Graph) error {
 
 func runRendezvousKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc, g := rc.Engine, rc.Scenario, rc.Graph
-	s1 := e.masterStepper(rc.routes, g, sc.Starts[0], sc.Labels[0])
-	s2 := e.masterStepper(rc.routes, g, sc.Starts[1], sc.Labels[1])
+	s1 := e.masterStepper(rc.routes, sc.Starts[0], sc.Labels[0])
+	s2 := e.masterStepper(rc.routes, sc.Starts[1], sc.Labels[1])
 	r, err := core.RendezvousSteppers(rc.schedOpts(), g, sc.Starts[0], sc.Starts[1],
 		sc.Labels[0], sc.Labels[1], e.env, rc.Adversary, sc.Budget, s1, s2,
 		e.piBound(g.N(), sc.Labels[0], sc.Labels[1]))
@@ -322,8 +323,8 @@ func runRendezvousKind(rc *ScenarioRunContext) (*Result, error) {
 
 func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc, g := rc.Engine, rc.Scenario, rc.Graph
-	s1 := e.baselineStepper(rc.routes, g, sc.Starts[0], sc.Labels[0])
-	s2 := e.baselineStepper(rc.routes, g, sc.Starts[1], sc.Labels[1])
+	s1 := e.baselineStepper(rc.routes, g.N(), sc.Starts[0], sc.Labels[0])
+	s2 := e.baselineStepper(rc.routes, g.N(), sc.Starts[1], sc.Labels[1])
 	r, err := baseline.RendezvousSteppers(rc.schedOpts(), g, sc.Starts[0], sc.Starts[1],
 		sc.Labels[0], sc.Labels[1], e.env, rc.Adversary, sc.Budget, s1, s2)
 	if err != nil {
@@ -367,20 +368,11 @@ func runSGLKind(rc *ScenarioRunContext) (*Result, error) {
 
 func runCertifyKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc := rc.Engine, rc.Scenario
-	if rc.routes != nil {
-		// The certifier consumes the same master trajectories the
-		// rendezvous agents walk, as node-route prefixes; the cached
-		// routes serve both.
-		ra := e.masterRoute(rc.routes, sc.Starts[0], sc.Labels[0], sc.Moves)
-		rb := e.masterRoute(rc.routes, sc.Starts[1], sc.Labels[1], sc.Moves)
-		r, err := core.CertifyRoutes(rc.schedOpts(), ra, rb, sc.Labels[0], sc.Labels[1])
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Scenario: sc, Cert: &r}, nil
-	}
-	r, err := core.CertifyInstanceWith(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1],
-		sc.Labels[0], sc.Labels[1], e.env, sc.Moves)
+	// The certifier consumes the same master trajectories the rendezvous
+	// agents walk, as node-route prefixes; the route book serves both.
+	ra := e.masterRoute(rc.routes, sc.Starts[0], sc.Labels[0], sc.Moves)
+	rb := e.masterRoute(rc.routes, sc.Starts[1], sc.Labels[1], sc.Moves)
+	r, err := core.CertifyRoutes(rc.schedOpts(), ra, rb, sc.Labels[0], sc.Labels[1])
 	if err != nil {
 		return nil, err
 	}

@@ -241,8 +241,9 @@ type Scenario struct {
 	// Graph describes the network declaratively.
 	Graph GraphSpec `json:"graph"`
 	// GraphInstance, when non-nil, overrides Graph with an
-	// already-built value (not serialized). The deprecated free
-	// functions use this to route concrete graphs through the engine.
+	// already-built value (not serialized). The engine cannot
+	// fingerprint it, so it runs on a one-off prepared entry, outside
+	// the prepared-scenario cache, with a route book of its own.
 	GraphInstance *Graph `json:"-"`
 	// Starts are the agents' starting nodes (distinct). For ESST:
 	// [explorer, token].

@@ -68,7 +68,6 @@ type engineMetrics struct {
 
 	cellWall    *telemetry.Histogram // per-cell wall time
 	routeReplay *telemetry.Counter   // steppers served from a route book
-	routeFresh  *telemetry.Counter   // steppers derived without a route book
 
 	verdicts [5]*telemetry.Counter // indexed by verdict class below
 
@@ -106,9 +105,7 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 	m.cellWall = reg.Histogram("meetpoly_engine_cell_wall_ns",
 		"Wall time of one sweep cell (prepare + run + judging), in nanoseconds.")
 	m.routeReplay = reg.Counter("meetpoly_engine_route_replays_total",
-		"Deterministic trajectories served through a cached route book.")
-	m.routeFresh = reg.Counter("meetpoly_engine_route_fresh_total",
-		"Deterministic trajectories derived without a route book (cache off or instance graphs).")
+		"Deterministic trajectories served through a route book.")
 
 	for i, v := range [...]string{"met", "exhausted", "canceled", "invalid", "other"} {
 		m.verdicts[i] = reg.Counter("meetpoly_engine_cell_verdicts_total",
